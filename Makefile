@@ -51,10 +51,11 @@ bench-stream:
 	@echo "benchmark event stream written to BENCH_stream.json"
 
 # Plan-service request latency: a full cache-miss sampling request vs the
-# content-hash cache-hit fast path, recorded to BENCH_serve.json.
+# content-hash cache-hit fast path, recorded to BENCH_serve.json (five runs of
+# two seconds each, so the spread between runs is part of the record).
 bench-serve:
 	$(GO) test -run XXX -bench 'BenchmarkServe' \
-		-benchmem -benchtime 1x -json ./internal/server > BENCH_serve.json
+		-benchmem -benchtime 2s -count 5 -json ./internal/server > BENCH_serve.json
 	@echo "benchmark event stream written to BENCH_serve.json"
 
 # Observability overhead: the full sampling pipeline with no collector vs one

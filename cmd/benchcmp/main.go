@@ -1,9 +1,9 @@
 // Command benchcmp compares two benchmark recordings produced by
 // `go test -json -bench` (the BENCH_*.json files this repo checks in) and
 // prints per-benchmark deltas. It is a dependency-free stand-in for
-// benchstat, tuned for the single-run event streams the Makefile records:
-// no distribution statistics, just old → new with percentage change per
-// unit.
+// benchstat: no distribution statistics, just old → new with percentage
+// change per unit. A benchmark recorded several times (-count N) is compared
+// by the median of its runs in each unit.
 //
 // Usage:
 //
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -151,6 +152,7 @@ var unitOrder = []string{"ns/op", "B/op", "allocs/op"}
 // report prints one section per unit present in both recordings, with a row
 // per benchmark name they share.
 func report(w io.Writer, old, new_ []result) {
+	old, new_ = medians(old), medians(new_)
 	oldBy := byName(old)
 	newBy := byName(new_)
 
@@ -208,11 +210,45 @@ func report(w io.Writer, old, new_ []result) {
 func byName(rs []result) map[string]result {
 	m := make(map[string]result, len(rs))
 	for _, r := range rs {
-		if _, dup := m[r.name]; !dup { // first run wins, like benchstat's input order
-			m[r.name] = r
-		}
+		m[r.name] = r
 	}
 	return m
+}
+
+// medians collapses repeated runs of one benchmark into a single result
+// holding, per unit, the median over the runs that report it (the mean of
+// the middle two for an even count). Names keep their first-seen order.
+func medians(rs []result) []result {
+	var order []string
+	runs := map[string][]result{}
+	for _, r := range rs {
+		if _, seen := runs[r.name]; !seen {
+			order = append(order, r.name)
+		}
+		runs[r.name] = append(runs[r.name], r)
+	}
+	out := make([]result, 0, len(order))
+	for _, name := range order {
+		group := runs[name]
+		m := result{name: name, iterations: group[0].iterations, values: map[string]float64{}}
+		for unit := range group[0].values {
+			var vs []float64
+			for _, r := range group {
+				if v, ok := r.values[unit]; ok {
+					vs = append(vs, v)
+				}
+			}
+			sort.Float64s(vs)
+			mid := len(vs) / 2
+			if len(vs)%2 == 0 {
+				m.values[unit] = (vs[mid-1] + vs[mid]) / 2
+			} else {
+				m.values[unit] = vs[mid]
+			}
+		}
+		out = append(out, m)
+	}
+	return out
 }
 
 // sharedUnits returns the units to report: the standard trio first, then any
@@ -244,7 +280,7 @@ func sharedUnits(old, new_ []result) []string {
 	}
 	// Map iteration order above is nondeterministic; sort the custom tail.
 	tail := units[lenStd(units):]
-	sortStrings(tail)
+	sort.Strings(tail)
 	return units
 }
 
@@ -258,14 +294,6 @@ func lenStd(units []string) int {
 		}
 	}
 	return n
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // delta formats the old → new change as a signed percentage; "~" when old is

@@ -94,6 +94,19 @@ func TestReportDeltasAndCoverage(t *testing.T) {
 	}
 }
 
+// TestReportUsesMedianOfRepeatedRuns: a -count recording is compared by the
+// median of its runs, one row per benchmark, not by whichever run came first.
+func TestReportUsesMedianOfRepeatedRuns(t *testing.T) {
+	old := mustParse(t, "BenchmarkX-2 10 100 ns/op\nBenchmarkX-2 10 900 ns/op\nBenchmarkX-2 10 200 ns/op\n")
+	new_ := mustParse(t, "BenchmarkX-2 10 50 ns/op\nBenchmarkX-2 10 150 ns/op\n")
+	var buf strings.Builder
+	report(&buf, old, new_)
+	out := buf.String()
+	if strings.Count(out, "BenchmarkX") != 1 || !strings.Contains(out, "-50.00%") {
+		t.Fatalf("want one row comparing medians 200 → 100 (-50.00%%):\n%s", out)
+	}
+}
+
 func TestDeltaEdgeCases(t *testing.T) {
 	if d := delta(0, 0); d != "0.00%" {
 		t.Fatalf("delta(0,0) = %q", d)

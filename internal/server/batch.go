@@ -31,13 +31,14 @@ type (
 // delivers results incrementally.
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) int {
 	_, decodeSpan := obs.StartSpan(r.Context(), stageDecode)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		decodeSpan.End()
 		return s.writeError(w, err)
 	}
 	var breq BatchRequest
-	err = json.Unmarshal(body, &breq)
+	err = json.Unmarshal(body.b, &breq)
+	body.release()
 	decodeSpan.End()
 	if err != nil {
 		return s.writeError(w, badRequest{fmt.Errorf("decode batch request: %w", err)})
@@ -86,20 +87,20 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) int {
 // itself.
 func (s *Server) batchItem(ctx context.Context, req *SampleRequest) BatchItemResult {
 	s.metrics.BatchItems.Add(1)
-	rv, err := s.resolve(req)
+	rv, err := s.resolve(req, nil)
 	if err != nil {
 		s.metrics.Failures.Add(1)
 		return BatchItemResult{Status: statusFor(err), Error: err.Error()}
 	}
 	s.metrics.MethodRequests(rv.method).Add(1)
-	id := rv.key("sample")
 	_, cacheSpan := obs.StartSpan(ctx, stageCache)
-	doc, hit := s.cache.get(id)
+	id := rv.key("sample")
+	e, hit := s.cache.get(id)
 	cacheSpan.SetAttr("hit", hit)
 	cacheSpan.End()
 	if hit {
 		s.metrics.CacheHits.Add(1)
-		return BatchItemResult{Status: http.StatusOK, PlanID: id, Cached: true, Plan: doc}
+		return BatchItemResult{Status: http.StatusOK, PlanID: id, Cached: true, Plan: e.doc}
 	}
 	s.metrics.CacheMisses.Add(1)
 	doc, shared, err := s.computePlan(ctx, id, rv)

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
+
+	"github.com/gpusampling/sieve/api"
 )
 
 // loadFixtureCSV reads the checked-in lmc profile (2485 invocations).
@@ -18,6 +21,8 @@ func loadFixtureCSV(tb testing.TB) string {
 	return string(body)
 }
 
+// benchPost posts csv and fails unless the answer is a plan envelope whose
+// cached flag is wantCached, so a hit benchmark cannot silently time misses.
 func benchPost(b *testing.B, url, csv string, wantCached bool) {
 	b.Helper()
 	resp, err := http.Post(url, "text/csv", strings.NewReader(csv))
@@ -27,6 +32,13 @@ func benchPost(b *testing.B, url, csv string, wantCached bool) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b.Fatalf("status = %d", resp.StatusCode)
+	}
+	var env api.PlanEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		b.Fatalf("decode envelope: %v", err)
+	}
+	if env.Cached != wantCached {
+		b.Fatalf("cached = %v, want %v", env.Cached, wantCached)
 	}
 }
 

@@ -150,16 +150,31 @@ const forwardedHeader = "X-Sieved-Forwarded"
 func isForwarded(r *http.Request) bool { return r.Header.Get(forwardedHeader) != "" }
 
 // planFromEnvelope extracts the raw plan document from a relayed
-// api.PlanEnvelope body for a local cache fill. The plan bytes are taken
-// verbatim from the envelope, so the fill is byte-identical to the owner's
-// cached document. A mismatched plan_id (peer confusion) is discarded rather
-// than poisoning the cache.
+// api.PlanEnvelope body for a local cache fill. A body that is not a valid
+// JSON envelope, or carries a mismatched plan_id (peer confusion), is
+// discarded rather than poisoning the cache.
 func planFromEnvelope(body []byte, id string) []byte {
 	var env api.PlanEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || env.PlanID != id || len(env.Plan) == 0 {
+	if err := json.Unmarshal(body, &env); err != nil || env.PlanID != id {
 		return nil
 	}
-	return append([]byte(nil), env.Plan...)
+	return env.Plan
+}
+
+// fillFromPeer caches a plan document a peer sent for id. planCache.put
+// re-marshals the document, which validates it and compacts whatever
+// whitespace the peer used, so the filled entry serves exactly the bytes a
+// local computation of the same plan would.
+func (s *Server) fillFromPeer(id string, doc []byte) (cacheEntry, bool) {
+	if len(doc) == 0 {
+		return cacheEntry{}, false
+	}
+	e, err := s.cache.put(id, doc)
+	if err != nil {
+		return cacheEntry{}, false
+	}
+	s.metrics.PeerFills.Add(1)
+	return e, true
 }
 
 // peerClient builds the typed client for one owning replica. All peer
@@ -182,8 +197,7 @@ func (s *Server) peerClient(owner string) (*client.Client, error) {
 // be reached (transport error), in which case the caller computes locally —
 // graceful degradation. A reachable owner's answer is relayed whatever its
 // status, and a successful plan also fills the local cache so the next
-// identical request is a local hit. A mismatched plan_id (peer confusion) is
-// discarded rather than poisoning the cache.
+// identical request is a local hit.
 func (s *Server) proxySample(w http.ResponseWriter, ctx context.Context, rv *resolved, id, owner string) (int, bool) {
 	pc, err := s.peerClient(owner)
 	if err != nil {
@@ -207,10 +221,7 @@ func (s *Server) proxySample(w http.ResponseWriter, ctx context.Context, rv *res
 	}
 	s.metrics.PeerProxied.Add(1)
 	if status == http.StatusOK {
-		if doc := planFromEnvelope(respBody, id); doc != nil {
-			s.cache.put(id, doc)
-			s.metrics.PeerFills.Add(1)
-		}
+		s.fillFromPeer(id, planFromEnvelope(respBody, id))
 	} else {
 		s.metrics.Failures.Add(1)
 	}
@@ -220,14 +231,14 @@ func (s *Server) proxySample(w http.ResponseWriter, ctx context.Context, rv *res
 	return status, true
 }
 
-// fetchPlanFromPeer retrieves a cached plan document from the owning replica
-// for a local fill, byte-identical to the owner's cached bytes. Any failure
-// — owner down, plan evicted there, mismatched plan_id — returns nil and the
+// fetchPlanFromPeer retrieves a cached plan from the owning replica and fills
+// the local cache with it. Any failure — owner down, plan evicted there,
+// mismatched plan_id, an answer that is not JSON — returns false and the
 // caller answers 404 as a single node would.
-func (s *Server) fetchPlanFromPeer(ctx context.Context, owner, id string) []byte {
+func (s *Server) fetchPlanFromPeer(ctx context.Context, owner, id string) (cacheEntry, bool) {
 	pc, err := s.peerClient(owner)
 	if err != nil {
-		return nil
+		return cacheEntry{}, false
 	}
 	pctx, span := obs.StartSpan(ctx, stageProxy)
 	span.SetAttr("owner", owner)
@@ -240,10 +251,10 @@ func (s *Server) fetchPlanFromPeer(ctx context.Context, owner, id string) []byte
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Warn("peer plan fetch failed", "owner", owner, "error", err.Error())
 		}
-		return nil
+		return cacheEntry{}, false
 	}
-	if env.PlanID != id || len(env.Plan) == 0 {
-		return nil
+	if env.PlanID != id {
+		return cacheEntry{}, false
 	}
-	return append([]byte(nil), env.Plan...)
+	return s.fillFromPeer(id, env.Plan)
 }

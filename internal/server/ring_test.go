@@ -1,13 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"github.com/gpusampling/sieve/api"
 )
 
 func TestSplitPeers(t *testing.T) {
@@ -114,7 +119,7 @@ func twoReplicas(t *testing.T, cfg Config) (a, b *Server, aURL, bURL string) {
 // can pick the owning replica deterministically.
 func planIDFor(t *testing.T, srv *Server, csv string) string {
 	t.Helper()
-	rv, err := srv.resolve(&SampleRequest{ProfileCSV: csv})
+	rv, err := srv.resolve(&SampleRequest{ProfileCSV: csv}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +244,7 @@ func thetaOwnedBy(t *testing.T, srv *Server, csv, wantOwner string) (theta strin
 		if err != nil {
 			t.Fatal(err)
 		}
-		rv, err := srv.resolve(&SampleRequest{ProfileCSV: csv, Options: RequestOptions{Theta: f}})
+		rv, err := srv.resolve(&SampleRequest{ProfileCSV: csv, Options: RequestOptions{Theta: f}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,5 +320,136 @@ func TestDeadPeerDegradesToLocal(t *testing.T) {
 	var errDoc map[string]string
 	if status := getJSON(t, ts.URL+"/v1/plans/"+unknown, &errDoc); status != http.StatusNotFound {
 		t.Fatalf("plan GET with dead owner status %d, want 404", status)
+	}
+}
+
+// TestPeerFillCompactsIndentedPlan: a peer whose answers carry indented but
+// valid plan JSON fills the local cache with the compacted document, so the
+// filling replica's later hits equal a locally computed envelope for the same
+// id byte for byte, on both fill paths (proxied POST and plan GET). A peer
+// answer that is not JSON fills nothing.
+func TestPeerFillCompactsIndentedPlan(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	ref := newTestServer(t, Config{}) // computes the reference answers
+
+	var mu sync.Mutex
+	answers := map[string][]byte{} // plan id → the fake peer's answer
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := strings.TrimPrefix(r.URL.Path, "/v1/plans/")
+		if r.Method == http.MethodPost {
+			var req SampleRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			rv, err := srv.resolve(&req, nil)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			id = rv.key("sample")
+		}
+		mu.Lock()
+		body, ok := answers[id]
+		mu.Unlock()
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(body)
+	}))
+	t.Cleanup(peer.Close)
+	if err := srv.SetPeers(ts.URL, []string{peer.URL}); err != nil {
+		t.Fatal(err)
+	}
+
+	// peerOwned picks a θ the fake peer owns for csv, records the reference
+	// replica's hit bytes for it, and has the peer answer with answer(hit).
+	peerOwned := func(csv string, answer func(hit []byte) []byte) (theta, id string, refHit []byte) {
+		theta, id = thetaOwnedBy(t, srv, csv, peer.URL)
+		postCSV(t, ref.URL+"/v1/sample?theta="+theta, csv)
+		status, refHit := postCSV(t, ref.URL+"/v1/sample?theta="+theta, csv)
+		var env sampleEnvelope
+		if err := json.Unmarshal(refHit, &env); err != nil || status != http.StatusOK || !env.Cached || env.PlanID != id {
+			t.Fatalf("reference hit: status %d, cached %v, id %s (want %s), err %v", status, env.Cached, env.PlanID, id, err)
+		}
+		mu.Lock()
+		answers[id] = answer(refHit)
+		mu.Unlock()
+		return theta, id, refHit
+	}
+	indented := func(hit []byte) []byte {
+		var env api.PlanEnvelope
+		if err := json.Unmarshal(hit, &env); err != nil {
+			t.Fatal(err)
+		}
+		env.Cached = false
+		out, err := json.MarshalIndent(env, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(out, []byte("\n    \"")) {
+			t.Fatal("the peer's plan document is not indented")
+		}
+		return out
+	}
+	get := func(url string) (int, []byte) {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	// Proxied POST: the peer's indented answer is relayed verbatim, and the
+	// fill it leaves behind serves the compacted envelope.
+	csv := testCSV()
+	theta, id, refHit := peerOwned(csv, indented)
+	if status, body := postCSV(t, ts.URL+"/v1/sample?theta="+theta, csv); status != http.StatusOK || !bytes.Equal(body, answers[id]) {
+		t.Fatalf("proxied POST: status %d, body not the peer's answer relayed verbatim", status)
+	}
+	if status, body := postCSV(t, ts.URL+"/v1/sample?theta="+theta, csv); status != http.StatusOK || !bytes.Equal(body, refHit) {
+		t.Fatalf("hit after proxy fill: status %d\n got %s\nwant %s", status, body, refHit)
+	}
+	if status, body := get(ts.URL + "/v1/plans/" + id); status != http.StatusOK || !bytes.Equal(body, refHit) {
+		t.Fatalf("plan GET after proxy fill: status %d\n got %s\nwant %s", status, body, refHit)
+	}
+
+	// Plan GET: fetch-and-fill from the indented peer answers the compacted
+	// envelope at once and on every later hit.
+	csv2 := profileCSV(32)
+	_, id2, refHit2 := peerOwned(csv2, indented)
+	for i := 0; i < 2; i++ {
+		if status, body := get(ts.URL + "/v1/plans/" + id2); status != http.StatusOK || !bytes.Equal(body, refHit2) {
+			t.Fatalf("plan GET %d after fetch fill: status %d\n got %s\nwant %s", i, status, body, refHit2)
+		}
+	}
+	if fills := srv.metrics.PeerFills.Value(); fills != 2 {
+		t.Fatalf("peer_fills = %d, want 2", fills)
+	}
+
+	// A peer answer that is not JSON fills nothing on either path.
+	csv3 := profileCSV(40)
+	theta3, id3, _ := peerOwned(csv3, func([]byte) []byte { return []byte("not json {") })
+	if status, _ := get(ts.URL + "/v1/plans/" + id3); status != http.StatusNotFound {
+		t.Fatalf("plan GET with a non-JSON peer answer: status %d, want 404", status)
+	}
+	postCSV(t, ts.URL+"/v1/sample?theta="+theta3, csv3)
+	if _, ok := srv.cache.get(id3); ok {
+		t.Fatal("a non-JSON peer answer filled the cache")
+	}
+	if fills := srv.metrics.PeerFills.Value(); fills != 2 {
+		t.Fatalf("peer_fills = %d after non-JSON answers, want still 2", fills)
+	}
+	if n := srv.metrics.Computations.Value(); n != 0 {
+		t.Fatalf("the filling replica computed %d plans, want 0", n)
 	}
 }

@@ -301,28 +301,31 @@ func (s *Server) writeError(w http.ResponseWriter, err error) int {
 
 // decodeRequest reads the bounded body and normalizes both accepted shapes —
 // raw CSV with query-parameter options, or the JSON envelope — into a
-// SampleRequest.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*SampleRequest, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+// SampleRequest. A text/csv body is not copied into the request: it comes
+// back as csv, the pooled read buffer, which the caller hashes in place and
+// releases once the response is written (nil for a JSON body).
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (req *SampleRequest, csv *bodyBuf, err error) {
+	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	req = &SampleRequest{}
 	ct := r.Header.Get("Content-Type")
 	if mt, _, err := mime.ParseMediaType(ct); err == nil {
 		ct = mt
 	}
 	if ct == "text/csv" || ct == "application/csv" {
-		req := &SampleRequest{ProfileCSV: string(body)}
 		if err := optionsFromQuery(r.URL.Query(), &req.Options); err != nil {
-			return nil, badRequest{err}
+			body.release()
+			return nil, nil, badRequest{err}
 		}
-		return req, nil
+		return req, body, nil
 	}
-	req := &SampleRequest{}
-	if err := json.Unmarshal(body, req); err != nil {
-		return nil, badRequest{fmt.Errorf("decode request: %w", err)}
+	defer body.release()
+	if err := json.Unmarshal(body.b, req); err != nil {
+		return nil, nil, badRequest{fmt.Errorf("decode request: %w", err)}
 	}
-	return req, nil
+	return req, nil, nil
 }
 
 // optionsFromQuery parses ?theta=&selection=&splitter=&parallelism=&stream=
@@ -354,7 +357,11 @@ func optionsFromQuery(q url.Values, o *RequestOptions) error {
 // resolved is a fully-validated request: concrete sieve options plus the
 // profile source, ready to hash and run.
 type resolved struct {
-	req    *SampleRequest
+	req *SampleRequest
+	// csv is a text/csv body still in the pooled request buffer; it is only
+	// hashed in place. detach moves it into req.ProfileCSV before anything
+	// that can outlive the handler (proxy hop, flight) sees the request.
+	csv    []byte
 	opts   sieve.Options
 	stream sieve.StreamOptions
 	arch   string
@@ -364,9 +371,11 @@ type resolved struct {
 }
 
 // resolve validates the request and turns the wire options into sieve
-// options. Validation failures are badRequest (400).
-func (s *Server) resolve(req *SampleRequest) (*resolved, error) {
-	if (req.ProfileCSV == "") == (req.Workload == "") {
+// options. csv is a raw text/csv body (see resolved.csv), nil for the JSON
+// shape. Validation failures are badRequest (400).
+func (s *Server) resolve(req *SampleRequest, csv []byte) (*resolved, error) {
+	fromCSV := len(csv) > 0 || req.ProfileCSV != ""
+	if fromCSV == (req.Workload != "") {
 		return nil, badRequest{errors.New("exactly one of profile_csv (or a text/csv body) and workload must be given")}
 	}
 	o := sieve.Options{Theta: req.Options.Theta}
@@ -417,7 +426,7 @@ func (s *Server) resolve(req *SampleRequest) (*resolved, error) {
 	if method != core.MethodSieve && req.Options.Stream {
 		return nil, badRequest{fmt.Errorf("method %q does not support stream mode (only the default sieve sampler streams)", method)}
 	}
-	if method == sampler.MethodPKS && req.ProfileCSV != "" {
+	if method == sampler.MethodPKS && fromCSV {
 		return nil, badRequest{errors.New(`method "pks" requires workload mode: its 12-characteristic feature vectors and golden cycle reference are profiled server-side`)}
 	}
 	arch := req.Options.Arch
@@ -437,6 +446,7 @@ func (s *Server) resolve(req *SampleRequest) (*resolved, error) {
 	}
 	return &resolved{
 		req:  req,
+		csv:  csv,
 		opts: o,
 		stream: sieve.StreamOptions{
 			Options:       o,
@@ -467,13 +477,25 @@ func (rv *resolved) key(kind string) string {
 	if rv.method != core.MethodSieve {
 		fmt.Fprintf(h, "method=%s|", rv.method)
 	}
-	if rv.req.ProfileCSV != "" {
+	// At most one of csv and ProfileCSV is set, so writing both hashes the
+	// same bytes whichever holds the profile.
+	if rv.csv != nil || rv.req.ProfileCSV != "" {
 		io.WriteString(h, "csv|")
+		h.Write(rv.csv)
 		io.WriteString(h, rv.req.ProfileCSV)
 	} else {
 		fmt.Fprintf(h, "workload|%s|%g", rv.req.Workload, rv.req.Scale)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// detach copies a raw CSV body out of the pooled request buffer into the
+// request, so the request may outlive the handler that read it.
+func (rv *resolved) detach() {
+	if rv.csv != nil {
+		rv.req.ProfileCSV = string(rv.csv)
+		rv.csv = nil
+	}
 }
 
 // acquireSlot claims a compute worker slot, waiting until the request's
@@ -723,8 +745,11 @@ func (s *Server) computePlan(ctx context.Context, id string, rv *resolved) (doc 
 		}
 		compSpan.SetAttr("plan_id", id)
 		s.metrics.RowsIngested.Add(int64(plan.TierInvocations[0] + plan.TierInvocations[1] + plan.TierInvocations[2]))
-		s.cache.put(id, doc)
-		return flightResult{doc: doc}
+		e, err := s.cache.put(id, doc)
+		if err != nil {
+			return flightResult{err: err}
+		}
+		return flightResult{doc: e.doc}
 	})
 	if shared {
 		flightSpan.SetAttr("coalesced", true)
@@ -743,28 +768,30 @@ func (s *Server) computePlan(ctx context.Context, id string, rv *resolved) (doc 
 // included.
 func (s *Server) serveSample(w http.ResponseWriter, r *http.Request) int {
 	_, decodeSpan := obs.StartSpan(r.Context(), stageDecode)
-	req, err := s.decodeRequest(w, r)
+	req, csv, err := s.decodeRequest(w, r)
 	if err != nil {
 		decodeSpan.End()
 		return s.writeError(w, err)
 	}
-	rv, err := s.resolve(req)
+	defer csv.release()
+	rv, err := s.resolve(req, csv.bytes())
 	decodeSpan.End()
 	if err != nil {
 		return s.writeError(w, err)
 	}
 	s.metrics.MethodRequests(rv.method).Add(1)
-	id := rv.key("sample")
 	_, cacheSpan := obs.StartSpan(r.Context(), stageCache)
-	doc, hit := s.cache.get(id)
+	id := rv.key("sample")
+	e, hit := s.cache.get(id)
 	cacheSpan.SetAttr("hit", hit)
 	cacheSpan.End()
 	if hit {
 		s.metrics.CacheHits.Add(1)
-		s.respondTraced(r.Context(), w, id, true, false, doc)
+		s.respondHit(r.Context(), w, e.env)
 		return http.StatusOK
 	}
 	s.metrics.CacheMisses.Add(1)
+	rv.detach()
 
 	// Shard routing: a miss on a hash another replica owns is proxied there,
 	// so the cluster computes each plan exactly once. Forwarded requests are
@@ -794,18 +821,32 @@ func (s *Server) respondTraced(ctx context.Context, w http.ResponseWriter, id st
 	span.End()
 }
 
+// respondHit writes a cache entry's stored hit envelope under a write-stage
+// span: the same bytes respondDocument would marshal, with their length.
+func (s *Server) respondHit(ctx context.Context, w http.ResponseWriter, env []byte) {
+	_, span := obs.StartSpan(ctx, stageWrite)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(env)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(env)
+	span.End()
+}
+
 func (s *Server) serveCharacterize(w http.ResponseWriter, r *http.Request) int {
 	_, decodeSpan := obs.StartSpan(r.Context(), stageDecode)
-	req, err := s.decodeRequest(w, r)
+	req, csv, err := s.decodeRequest(w, r)
 	if err != nil {
 		decodeSpan.End()
 		return s.writeError(w, err)
 	}
-	rv, err := s.resolve(req)
+	defer csv.release()
+	rv, err := s.resolve(req, csv.bytes())
 	decodeSpan.End()
 	if err != nil {
 		return s.writeError(w, err)
 	}
+	rv.detach()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	_, slotSpan := obs.StartSpan(ctx, stageSlot)
@@ -851,22 +892,18 @@ func (s *Server) serveCharacterize(w http.ResponseWriter, r *http.Request) int {
 func (s *Server) servePlanGet(w http.ResponseWriter, r *http.Request) int {
 	id := r.PathValue("id")
 	_, cacheSpan := obs.StartSpan(r.Context(), stageCache)
-	doc, hit := s.cache.get(id)
+	e, hit := s.cache.get(id)
 	cacheSpan.SetAttr("hit", hit)
 	cacheSpan.End()
+	if !hit {
+		if owner, ok := s.shardRing().ownedElsewhere(id); ok && !isForwarded(r) {
+			e, hit = s.fetchPlanFromPeer(r.Context(), owner, id)
+		}
+	}
 	if hit {
 		s.metrics.CacheHits.Add(1)
-		s.respondTraced(r.Context(), w, id, true, false, doc)
+		s.respondHit(r.Context(), w, e.env)
 		return http.StatusOK
-	}
-	if owner, ok := s.shardRing().ownedElsewhere(id); ok && !isForwarded(r) {
-		if doc := s.fetchPlanFromPeer(r.Context(), owner, id); doc != nil {
-			s.cache.put(id, doc)
-			s.metrics.PeerFills.Add(1)
-			s.metrics.CacheHits.Add(1)
-			s.respondTraced(r.Context(), w, id, true, false, doc)
-			return http.StatusOK
-		}
 	}
 	s.metrics.Failures.Add(1)
 	writeJSON(w, http.StatusNotFound, &api.Error{Message: "plan not cached (recompute via POST /v1/sample)"})

@@ -18,12 +18,16 @@ import (
 
 // testCSV renders a small bimodal profile in the WriteProfileCSV wire
 // format: 4 kernels × 24 invocations, enough for Tier-3 KDE splitting.
-func testCSV() string {
+func testCSV() string { return profileCSV(24) }
+
+// profileCSV renders testCSV's bimodal profile with perKernel invocations in
+// each of its 4 kernels.
+func profileCSV(perKernel int) string {
 	var b strings.Builder
 	b.WriteString("kernel,index,seq,cta_size,instruction_count\n")
 	idx := 0
 	for k := 0; k < 4; k++ {
-		for i := 0; i < 24; i++ {
+		for i := 0; i < perKernel; i++ {
 			count := 1.0e6 + float64(i)*1e4
 			if i%2 == 1 {
 				count *= 30

@@ -30,7 +30,7 @@ import (
 // compute stages, leaving only coordination overhead attributed to flight.
 const (
 	stageDecode  = "decode"  // body read + request validation
-	stageCache   = "cache"   // content-hash cache lookup
+	stageCache   = "cache"   // content hash of the request + cache lookup
 	stageSlot    = "slot"    // worker-slot wait (admission control)
 	stageFlight  = "flight"  // coalesced-computation wait
 	stageCompute = "compute" // sampling pipeline + plan marshal
