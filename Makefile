@@ -85,10 +85,11 @@ bench-load:
 # Per-methodology planning cost: one sub-benchmark per registered sampling
 # strategy (sieve, pks, twophase, rss — BenchmarkSamplerPlan iterates the
 # registry, so a new strategy shows up automatically), recorded to
-# BENCH_sampler.json. See docs/sampling-methods.md.
+# BENCH_sampler.json (five runs of twenty plans each; cmd/benchcmp compares
+# recordings by the median run). See docs/sampling-methods.md.
 bench-sampler:
 	$(GO) test -run XXX -bench 'BenchmarkSamplerPlan' \
-		-benchmem -benchtime 10x -json ./internal/sampler > BENCH_sampler.json
+		-benchmem -benchtime 20x -count 5 -json ./internal/sampler > BENCH_sampler.json
 	@echo "benchmark event stream written to BENCH_sampler.json"
 
 # Sample observability report + Chrome trace for the checked-in lmc fixture

@@ -19,6 +19,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+
+	"github.com/gpusampling/sieve/internal/rng"
 )
 
 // Result describes a k-means clustering.
@@ -107,6 +109,17 @@ type Scratch struct {
 	dMin       []float64 // n, k-means++ nearest-chosen-centroid distances
 	inertia    float64
 	iterations int
+	restart    *rand.Rand // per-restart stream, re-seeded for each restart
+}
+
+// reseeded returns the scratch's restart stream seeded with seed.
+func (s *Scratch) reseeded(seed int64) *rand.Rand {
+	if s.restart == nil {
+		s.restart = rand.New(rng.NewSource(seed))
+	} else {
+		s.restart.Seed(seed)
+	}
+	return s.restart
 }
 
 // resize readies the scratch for a run over n points of dim dimensions with
@@ -176,7 +189,7 @@ func KMeansDataset(ds *Dataset, cfg Config, scratch *Scratch) (*Result, error) {
 		// exactly like the parallel reduction below.
 		var best *Result
 		for _, seed := range seeds {
-			lloyd(ds, &cfg, rand.New(rand.NewSource(seed)), scratch)
+			lloyd(ds, &cfg, scratch.reseeded(seed), scratch)
 			if best == nil || scratch.inertia < best.Inertia {
 				best = materialize(ds, &cfg, scratch)
 			}
@@ -195,7 +208,7 @@ func KMeansDataset(ds *Dataset, cfg Config, scratch *Scratch) (*Result, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			var s Scratch
-			lloyd(ds, &cfg, rand.New(rand.NewSource(seed)), &s)
+			lloyd(ds, &cfg, s.reseeded(seed), &s)
 			results[i] = materialize(ds, &cfg, &s)
 		}(i, seed)
 	}

@@ -7,11 +7,11 @@ import (
 	"testing/quick"
 )
 
-func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // twoBlobs builds two well-separated 2-D Gaussian blobs.
 func twoBlobs(n int, seed int64) [][]float64 {
-	r := rng(seed)
+	r := newRand(seed)
 	pts := make([][]float64, 0, 2*n)
 	for i := 0; i < n; i++ {
 		pts = append(pts, []float64{r.NormFloat64(), r.NormFloat64()})
@@ -27,11 +27,11 @@ func TestKMeansValidation(t *testing.T) {
 		pts  [][]float64
 		cfg  Config
 	}{
-		{"no points", nil, Config{K: 1, Rng: rng(1)}},
-		{"zero dim", [][]float64{{}}, Config{K: 1, Rng: rng(1)}},
-		{"ragged", [][]float64{{1}, {1, 2}}, Config{K: 1, Rng: rng(1)}},
-		{"k zero", good, Config{K: 0, Rng: rng(1)}},
-		{"k too large", good, Config{K: 3, Rng: rng(1)}},
+		{"no points", nil, Config{K: 1, Rng: newRand(1)}},
+		{"zero dim", [][]float64{{}}, Config{K: 1, Rng: newRand(1)}},
+		{"ragged", [][]float64{{1}, {1, 2}}, Config{K: 1, Rng: newRand(1)}},
+		{"k zero", good, Config{K: 0, Rng: newRand(1)}},
+		{"k too large", good, Config{K: 3, Rng: newRand(1)}},
 		{"nil rng", good, Config{K: 1}},
 	}
 	for _, c := range cases {
@@ -45,7 +45,7 @@ func TestKMeansValidation(t *testing.T) {
 
 func TestKMeansSeparatesBlobs(t *testing.T) {
 	pts := twoBlobs(100, 42)
-	res, err := KMeans(pts, Config{K: 2, Rng: rng(7)})
+	res, err := KMeans(pts, Config{K: 2, Rng: newRand(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 
 func TestKMeansK1CentroidIsMean(t *testing.T) {
 	pts := [][]float64{{0, 0}, {2, 4}, {4, 2}}
-	res, err := KMeans(pts, Config{K: 1, Rng: rng(3)})
+	res, err := KMeans(pts, Config{K: 1, Rng: newRand(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestKMeansK1CentroidIsMean(t *testing.T) {
 
 func TestKMeansDeterministicForSeed(t *testing.T) {
 	pts := twoBlobs(50, 5)
-	a, err := KMeans(pts, Config{K: 4, Rng: rng(99)})
+	a, err := KMeans(pts, Config{K: 4, Rng: newRand(99)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KMeans(pts, Config{K: 4, Rng: rng(99)})
+	b, err := KMeans(pts, Config{K: 4, Rng: newRand(99)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestKMeansDeterministicForSeed(t *testing.T) {
 
 func TestKMeansInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rng(seed)
+		r := newRand(seed)
 		n := 5 + r.Intn(100)
 		dim := 1 + r.Intn(5)
 		pts := make([][]float64, n)
@@ -167,7 +167,7 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 	pts := twoBlobs(60, 17)
 	var prev float64 = math.Inf(1)
 	for k := 1; k <= 6; k++ {
-		res, err := KMeans(pts, Config{K: k, Rng: rng(int64(k))})
+		res, err := KMeans(pts, Config{K: k, Rng: newRand(int64(k))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 
 func TestKMeansIdenticalPoints(t *testing.T) {
 	pts := [][]float64{{5, 5}, {5, 5}, {5, 5}, {5, 5}}
-	res, err := KMeans(pts, Config{K: 2, Rng: rng(1)})
+	res, err := KMeans(pts, Config{K: 2, Rng: newRand(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 
 func TestKMeansKEqualsN(t *testing.T) {
 	pts := [][]float64{{0}, {10}, {20}}
-	res, err := KMeans(pts, Config{K: 3, Rng: rng(2)})
+	res, err := KMeans(pts, Config{K: 3, Rng: newRand(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestMeanSilhouetteSeparatedVsMixed(t *testing.T) {
 		t.Fatalf("well-separated silhouette = %g, want > 0.9", gs)
 	}
 	// Random assignment should score much worse.
-	r := rng(13)
+	r := newRand(13)
 	bad := make([]int, len(pts))
 	for i := range bad {
 		bad[i] = r.Intn(2)

@@ -80,7 +80,10 @@ func Assemble(profile []InvocationProfile, specs []StratumSpec, theta float64) (
 	}
 
 	res := &Result{Theta: theta, byIndex: byIndex, posByIndex: posByIndex}
-	assigned := make(map[int]int, len(profile)) // invocation index → spec position
+	// owner[pos] is 1 + the spec position holding profile row pos; 0 while
+	// the row is unassigned.
+	owner := make([]int, len(profile))
+	assigned := 0
 	for si, spec := range specs {
 		if spec.Tier < Tier1 || spec.Tier > Tier3 {
 			return nil, fmt.Errorf("core: assemble: stratum %d (%s) has invalid tier %d", si, spec.Kernel, spec.Tier)
@@ -93,15 +96,16 @@ func Assemble(profile []InvocationProfile, specs []StratumSpec, theta float64) (
 		sort.Ints(s.Invocations)
 		repSeen := false
 		for _, idx := range s.Invocations {
-			row, ok := byIndex[idx]
+			pos, ok := posByIndex[idx]
 			if !ok {
 				return nil, fmt.Errorf("core: assemble: stratum %d (%s) references unknown invocation %d", si, spec.Kernel, idx)
 			}
-			if prev, dup := assigned[idx]; dup {
-				return nil, fmt.Errorf("core: assemble: invocation %d assigned to strata %d and %d", idx, prev, si)
+			if prev := owner[pos]; prev != 0 {
+				return nil, fmt.Errorf("core: assemble: invocation %d assigned to strata %d and %d", idx, prev-1, si)
 			}
-			assigned[idx] = si
-			s.InstructionSum += row.InstructionCount
+			owner[pos] = si + 1
+			assigned++
+			s.InstructionSum += profile[pos].InstructionCount
 			if idx == spec.Representative {
 				repSeen = true
 			}
@@ -113,8 +117,8 @@ func Assemble(profile []InvocationProfile, specs []StratumSpec, theta float64) (
 		res.TierInvocations[spec.Tier-1] += len(s.Invocations)
 		res.Strata = append(res.Strata, s)
 	}
-	if len(assigned) != len(profile) {
-		return nil, fmt.Errorf("core: assemble: strata cover %d of %d invocations", len(assigned), len(profile))
+	if assigned != len(profile) {
+		return nil, fmt.Errorf("core: assemble: strata cover %d of %d invocations", assigned, len(profile))
 	}
 
 	for i := range res.Strata {

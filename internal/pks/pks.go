@@ -26,6 +26,7 @@ import (
 	"github.com/gpusampling/sieve/internal/mat"
 	"github.com/gpusampling/sieve/internal/obs"
 	"github.com/gpusampling/sieve/internal/pca"
+	"github.com/gpusampling/sieve/internal/rng"
 )
 
 // DefaultMaxK is the paper-prescribed cap on the cluster count ("up to a
@@ -327,16 +328,18 @@ func SelectContext(ctx context.Context, features [][]float64, goldenCycles []flo
 	if workers <= 1 {
 		clusterPar = opts.Parallelism // sequential sweep: restarts may fan out
 	}
-	runK := func(k int, scratch *cluster.Scratch) {
+	// Each sweep lane owns one cluster.Scratch and one random stream,
+	// re-seeded per candidate k.
+	runK := func(k int, scratch *cluster.Scratch, rnd *rand.Rand) {
 		_, ksp := obs.StartSpan(ctx, "pks.k")
 		defer ksp.End()
 		ksp.SetAttr("k", k)
-		rng := rand.New(rand.NewSource(opts.Seed + int64(k)*7919))
+		rnd.Seed(opts.Seed + int64(k)*7919)
 		km := clusterings[k]
 		if km == nil {
 			var err error
 			km, err = cluster.KMeansDataset(fitDS, cluster.Config{
-				K: k, Rng: rng, MaxIterations: opts.MaxIterations,
+				K: k, Rng: rnd, MaxIterations: opts.MaxIterations,
 				Restarts: opts.Restarts, Parallelism: clusterPar,
 			}, scratch)
 			if err != nil {
@@ -344,7 +347,7 @@ func SelectContext(ctx context.Context, features [][]float64, goldenCycles []flo
 				return
 			}
 		}
-		res := assemble(points, fitIdx, km, opts, rng)
+		res := assemble(points, fitIdx, km, opts, rnd)
 		candidates[k] = res
 		errsByK[k] = distortion(res, goldenCycles, goldenTotal)
 		ksp.SetAttr("distortion", errsByK[k])
@@ -353,12 +356,12 @@ func SelectContext(ctx context.Context, features [][]float64, goldenCycles []flo
 		sp.SetAttr("sweep_workers", workers)
 	}
 	if workers <= 1 {
-		scratch := &cluster.Scratch{}
+		scratch, rnd := &cluster.Scratch{}, rand.New(rng.NewSource(0))
 		for k := 1; k <= maxK; k++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			runK(k, scratch)
+			runK(k, scratch, rnd)
 		}
 	} else {
 		// Workers pull candidate k values from a shared counter and check ctx
@@ -370,13 +373,13 @@ func SelectContext(ctx context.Context, features [][]float64, goldenCycles []flo
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				scratch := &cluster.Scratch{}
+				scratch, rnd := &cluster.Scratch{}, rand.New(rng.NewSource(0))
 				for ctx.Err() == nil {
 					k := int(nextK.Add(1))
 					if k > maxK {
 						return
 					}
-					runK(k, scratch)
+					runK(k, scratch, rnd)
 				}
 			}()
 		}

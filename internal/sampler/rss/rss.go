@@ -19,9 +19,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/gpusampling/sieve/internal/core"
+	"github.com/gpusampling/sieve/internal/rng"
 	"github.com/gpusampling/sieve/internal/sampler"
 	"github.com/gpusampling/sieve/internal/stats"
 )
@@ -46,27 +46,83 @@ func subSeed(seed int64, stratum, resample int) int64 {
 	return int64(z >> 1)
 }
 
-// rankedPick runs one ranked-set draw: up to m distinct seeded candidates
-// from the stratum, ranked by (instruction count, index), median rank wins.
-func rankedPick(rng *rand.Rand, members []int, rowByIndex map[int]core.InvocationProfile, m int) int {
+// drawer holds one Plan call's ranked-set draw state: a single random
+// stream, re-seeded for every draw, and the draw's scratch lists, so a draw
+// allocates nothing once the lists have grown to the set size.
+type drawer struct {
+	rng   *rand.Rand
+	moved []displaced // shuffle positions whose member differs from the stratum's
+	cand  []candidate // the draw's candidates, kept sorted
+}
+
+// displaced records that position pos of a partial shuffle now holds idx.
+type displaced struct{ pos, idx int }
+
+// candidate is one drawn invocation and its instruction count.
+type candidate struct {
+	count float64
+	idx   int
+}
+
+// less orders candidates by (instruction count, index).
+func (c candidate) less(o candidate) bool {
+	if c.count != o.count {
+		return c.count < o.count
+	}
+	return c.idx < o.idx
+}
+
+func newDrawer() *drawer { return &drawer{rng: rand.New(rng.NewSource(0))} }
+
+// at returns the member at position pos of the partial shuffle.
+func (d *drawer) at(members []int, pos int) int {
+	for _, m := range d.moved {
+		if m.pos == pos {
+			return m.idx
+		}
+	}
+	return members[pos]
+}
+
+// put records that position pos of the partial shuffle holds idx.
+func (d *drawer) put(pos, idx int) {
+	for i := range d.moved {
+		if d.moved[i].pos == pos {
+			d.moved[i].idx = idx
+			return
+		}
+	}
+	d.moved = append(d.moved, displaced{pos, idx})
+}
+
+// rankedPick runs one ranked-set draw under seed: up to m distinct
+// candidates from the stratum, chosen by the first m swaps of a
+// Fisher–Yates shuffle, ranked by (instruction count, index); the median
+// rank wins. The shuffle tracks only the ≤ m positions it displaces instead
+// of copying the stratum, and the candidates are ranked by insertion, so a
+// draw costs O(m²) — m is a small set size — independent of stratum size.
+func (d *drawer) rankedPick(seed int64, members []int, count map[int]float64, m int) candidate {
+	d.rng.Seed(seed)
 	n := len(members)
 	if m > n {
 		m = n
 	}
-	pool := append([]int(nil), members...)
-	cand := make([]core.InvocationProfile, m)
+	d.moved, d.cand = d.moved[:0], d.cand[:0]
 	for i := 0; i < m; i++ {
-		j := i + rng.Intn(n-i)
-		pool[i], pool[j] = pool[j], pool[i]
-		cand[i] = rowByIndex[pool[i]]
-	}
-	sort.Slice(cand, func(a, b int) bool {
-		if cand[a].InstructionCount != cand[b].InstructionCount {
-			return cand[a].InstructionCount < cand[b].InstructionCount
+		j := i + d.rng.Intn(n-i)
+		c := candidate{idx: d.at(members, j)}
+		if j != i {
+			d.put(j, d.at(members, i))
 		}
-		return cand[a].Index < cand[b].Index
-	})
-	return cand[(m-1)/2].Index
+		c.count = count[c.idx]
+		k := len(d.cand)
+		d.cand = append(d.cand, c)
+		for ; k > 0 && c.less(d.cand[k-1]); k-- {
+			d.cand[k] = d.cand[k-1]
+		}
+		d.cand[k] = c
+	}
+	return d.cand[(m-1)/2]
 }
 
 // Plan stratifies with the base Sieve pipeline, replaces each stratum's
@@ -81,20 +137,20 @@ func (rankedSet) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Opti
 	if err != nil {
 		return nil, err
 	}
-	rowByIndex := make(map[int]core.InvocationProfile, len(p.Rows))
+	count := make(map[int]float64, len(p.Rows))
 	for _, r := range p.Rows {
-		rowByIndex[r.Index] = r
+		count[r.Index] = r.InstructionCount
 	}
+	d := newDrawer()
 
 	specs := make([]core.StratumSpec, len(base.Strata))
 	for h := range base.Strata {
 		s := &base.Strata[h]
-		rng := rand.New(rand.NewSource(subSeed(opts.Seed, h, 0)))
 		specs[h] = core.StratumSpec{
 			Kernel:         s.Kernel,
 			Tier:           s.Tier,
 			Members:        append([]int(nil), s.Invocations...),
-			Representative: rankedPick(rng, s.Invocations, rowByIndex, opts.SetSize),
+			Representative: d.rankedPick(subSeed(opts.Seed, h, 0), s.Invocations, count, opts.SetSize).idx,
 		}
 	}
 	res, err := core.Assemble(p.Rows, specs, base.Theta)
@@ -116,9 +172,8 @@ func (rankedSet) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Opti
 		var est float64
 		for h := range base.Strata {
 			s := &base.Strata[h]
-			rng := rand.New(rand.NewSource(subSeed(opts.Seed, h, r)))
-			rep := rankedPick(rng, s.Invocations, rowByIndex, opts.SetSize)
-			est += float64(len(s.Invocations)) * rowByIndex[rep].InstructionCount
+			rep := d.rankedPick(subSeed(opts.Seed, h, r), s.Invocations, count, opts.SetSize)
+			est += float64(len(s.Invocations)) * rep.count
 		}
 		errs[r-1] = (est - base.TotalInstructions) / base.TotalInstructions
 	}

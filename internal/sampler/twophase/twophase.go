@@ -14,13 +14,15 @@
 package twophase
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"github.com/gpusampling/sieve/internal/core"
+	"github.com/gpusampling/sieve/internal/rng"
 	"github.com/gpusampling/sieve/internal/sampler"
 	"github.com/gpusampling/sieve/internal/stats"
 )
@@ -37,6 +39,15 @@ func (twoPhase) Name() string { return Method }
 // base plan.
 func pilotSeed(seed int64, stratum int) int64 {
 	return seed*1_000_003 + int64(stratum)*7919
+}
+
+// byCountThenIndex orders rows by (instruction count, index). Indices are
+// unique, so the order is total and any sort yields the same sequence.
+func byCountThenIndex(a, b core.InvocationProfile) int {
+	if a.InstructionCount != b.InstructionCount {
+		return cmp.Compare(a.InstructionCount, b.InstructionCount)
+	}
+	return cmp.Compare(a.Index, b.Index)
 }
 
 // Plan stratifies with the base Sieve pipeline, pilots each stratum, and
@@ -60,6 +71,8 @@ func (twoPhase) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Optio
 	// records its standard deviation — the dispersion signal Neyman
 	// allocation sizes the second phase by.
 	scores := make([]float64, len(base.Strata))
+	rnd := rand.New(rng.NewSource(0))
+	var members []int
 	for h := range base.Strata {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -78,11 +91,11 @@ func (twoPhase) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Optio
 		}
 		// Partial Fisher–Yates over the stratum's (deterministically
 		// ordered) member list: the first `pilot` swaps pick the subsample.
-		rng := rand.New(rand.NewSource(pilotSeed(opts.Seed, h)))
-		members := append([]int(nil), s.Invocations...)
+		rnd.Seed(pilotSeed(opts.Seed, h))
+		members = append(members[:0], s.Invocations...)
 		var acc stats.Accumulator
 		for i := 0; i < pilot; i++ {
-			j := i + rng.Intn(n-i)
+			j := i + rnd.Intn(n-i)
 			members[i], members[j] = members[j], members[i]
 			acc.Add(rowByIndex[members[i]].InstructionCount)
 		}
@@ -134,12 +147,7 @@ func (twoPhase) Plan(ctx context.Context, p *sampler.Profile, opts sampler.Optio
 		for i, idx := range s.Invocations {
 			ordered[i] = rowByIndex[idx]
 		}
-		sort.SliceStable(ordered, func(a, b int) bool {
-			if ordered[a].InstructionCount != ordered[b].InstructionCount {
-				return ordered[a].InstructionCount < ordered[b].InstructionCount
-			}
-			return ordered[a].Index < ordered[b].Index
-		})
+		slices.SortFunc(ordered, byCountThenIndex)
 		parts := alloc[h]
 		size, rem := len(ordered)/parts, len(ordered)%parts
 		at := 0

@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
+
+	"github.com/gpusampling/sieve/api"
 )
 
 // TestCacheConcurrentPutGet hammers the LRU from many goroutines under
@@ -83,7 +87,8 @@ func TestCacheLRUOrderUnderGets(t *testing.T) {
 }
 
 // TestCachePutBuildsHitEnvelope: the stored hit envelope is exactly what
-// respondDocument would marshal for a cached answer, the stored document is
+// respondDocument writes around the stored document for a cached answer,
+// the stored document is
 // the compacted plan inside it, and a document that is not JSON stores
 // nothing.
 func TestCachePutBuildsHitEnvelope(t *testing.T) {
@@ -98,7 +103,7 @@ func TestCachePutBuildsHitEnvelope(t *testing.T) {
 			t.Fatalf("put(%q): %v", tc.id, err)
 		}
 		rec := httptest.NewRecorder()
-		respondDocument(rec, tc.id, true, false, []byte(tc.doc))
+		respondDocument(rec, tc.id, true, false, e.doc)
 		if !bytes.Equal(e.env, rec.Body.Bytes()) {
 			t.Fatalf("hit envelope %q, want %q", e.env, rec.Body.Bytes())
 		}
@@ -114,5 +119,31 @@ func TestCachePutBuildsHitEnvelope(t *testing.T) {
 	}
 	if _, ok := c.get("bad"); ok {
 		t.Fatal("an invalid document was cached")
+	}
+}
+
+// TestRespondDocumentSplicesEnvelope: a miss response spliced around a
+// stored document is byte-for-byte the fully marshaled envelope, for every
+// (cached, coalesced) variant, and declares its length.
+func TestRespondDocumentSplicesEnvelope(t *testing.T) {
+	c := newPlanCache(4)
+	e, err := c.put(`id"<&>`, []byte("{\n  \"kernel\": \"k<1>\",\n  \"strata\": [ 1, 2 ]\n}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []struct{ cached, coalesced bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+		want, err := json.Marshal(api.PlanEnvelope{PlanID: e.id, Cached: v.cached, Coalesced: v.coalesced, Plan: e.doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		rec := httptest.NewRecorder()
+		respondDocument(rec, e.id, v.cached, v.coalesced, e.doc)
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("%+v: spliced %q, want %q", v, rec.Body.Bytes(), want)
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want)) {
+			t.Fatalf("%+v: Content-Length %q, want %d", v, cl, len(want))
+		}
 	}
 }

@@ -684,19 +684,33 @@ func marshalPlan(p *sieve.Plan) ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// respondDocument writes the api.PlanEnvelope around an already-marshaled
-// plan document. The envelope marshals to the exact bytes the service has
-// always answered ({"plan_id":…,"cached":…,"plan":…} + newline); coalesced
+// respondDocument writes the api.PlanEnvelope around a plan document as
+// planCache.put stored it, with its length. The envelope is spliced, not
+// re-marshaled: the marshaled envelope up to its "plan" field, the stored
+// document, then the closing brace and newline. The stored document is
+// already json.Marshal's compacted form, so the bytes equal a full marshal
+// of the envelope ({"plan_id":…,"cached":…,"plan":…} + newline); coalesced
 // appears only when true, so non-coalesced responses are unchanged.
 func respondDocument(w http.ResponseWriter, id string, cached, coalesced bool, doc []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	buf, err := json.Marshal(api.PlanEnvelope{PlanID: id, Cached: cached, Coalesced: coalesced, Plan: doc})
+	prefix, err := json.Marshal(api.PlanEnvelope{PlanID: id, Cached: cached, Coalesced: coalesced, Plan: json.RawMessage("0")})
 	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	_, _ = w.Write(append(buf, '\n'))
+	prefix = prefix[:len(prefix)-len("0}")]
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(prefix)+len(doc)+len(envelopeEnd)))
+	w.WriteHeader(http.StatusOK)
+	for _, b := range [][]byte{prefix, doc, envelopeEnd} {
+		if _, err := w.Write(b); err != nil {
+			return
+		}
+	}
 }
+
+// envelopeEnd closes a spliced plan envelope.
+var envelopeEnd = []byte("}\n")
 
 // computePlan produces the marshaled plan for id, coalescing concurrent
 // misses on the same content hash onto one computation via the in-flight
