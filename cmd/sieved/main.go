@@ -73,7 +73,6 @@ func run(addr string, cfg server.Config, self, peers string, drain time.Duration
 		}
 		logger.Info("shard ring configured", "self", self, "peers", peerList)
 	}
-	s.Metrics().Publish("sieved")
 	handler := s.Handler()
 	if withPprof {
 		// The profiling handlers mount on an outer mux so they bypass the

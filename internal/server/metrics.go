@@ -1,23 +1,22 @@
 package server
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/gpusampling/sieve/api"
 	"github.com/gpusampling/sieve/internal/obs"
+	"github.com/gpusampling/sieve/internal/sampler"
 )
 
-// requestSecondsMetric names the request-latency histogram in the registry
-// and therefore in the Prometheus exposition.
+// requestSecondsMetric names the request-latency histogram in the Prometheus
+// exposition; the per-status-class ones append _class_2xx, _class_4xx, ….
 const requestSecondsMetric = "sieved_request_seconds"
 
 // stageSecondsMetric names the per-stage latency histogram family: one
@@ -33,147 +32,122 @@ var latencyBuckets = []float64{
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// metrics holds the server's expvar counters. The vars are kept off the
-// global expvar namespace so several servers can coexist in one process
-// (every httptest server would otherwise collide on Publish); cmd/sieved
-// additionally publishes them globally under the "sieved" name. Request
-// latencies go to a shared obs.Histogram (log-bucketed, lock-free) instead of
-// a bespoke ring: quantiles cover the server's lifetime at constant memory
-// and the same histogram feeds /debug/metrics and the Prometheus exposition.
-// Every terminal response path records latency — errors included — into both
-// the overall histogram and a per-status-class one
-// (sieved_request_seconds_class_4xx, …), so p99 under errors is visible
-// rather than a blind spot.
-type metrics struct {
-	Requests     expvar.Int // API requests accepted (sample, characterize, plan get, batch)
-	Failures     expvar.Int // requests answered with a 4xx/5xx
-	CacheHits    expvar.Int // plans served from the content-hash cache
-	CacheMisses  expvar.Int // plan lookups that missed the cache
-	Computations expvar.Int // sampling runs actually executed (misses minus coalesced/proxied)
-	Coalesced    expvar.Int // requests that joined another request's in-flight computation
-	BatchItems   expvar.Int // items processed across all /v1/batch requests
-	PeerFills    expvar.Int // plans filled into the local cache from a peer replica
-	PeerProxied  expvar.Int // requests proxied to the owning peer replica
-	InFlight     expvar.Int // requests currently holding a worker slot
-	Rejected     expvar.Int // requests that gave up waiting for a slot
-	RowsIngested expvar.Int // profile rows ingested across all requests
+// statusClasses names the per-status-class latency histograms, in the order
+// statusClass indexes them.
+var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
 
-	// methodCounts counts sample requests per resolved sampling methodology
-	// (sieve, pks, twophase, rss, …), keyed by canonical method name. The map
-	// grows lazily as methods are first requested, so a server that only ever
-	// serves default-method traffic exposes only the "sieve" series.
-	methodMu     sync.Mutex
-	methodCounts map[string]*expvar.Int
+// statusClass buckets an HTTP status for the latency breakdown, as an index
+// into statusClasses. 499 (client-abandoned) counts as 4xx: the client gave
+// up, the server did not fail.
+func statusClass(status int) int { return min(max(status/100, 2), 5) - 2 }
 
-	// stageHists holds one latency histogram per serving stage (decode, slot,
-	// compute, …), fed by finishTrace with each completed request's per-stage
-	// attribution and exposed as sieved_stage_seconds{stage="..."}. Like
-	// methodCounts, the map grows as stages are first observed.
-	stageMu    sync.Mutex
-	stageHists map[string]*obs.Histogram
+// metricKind is how a table row renders in the Prometheus exposition, and in
+// which section: counters first, then live gauges, then gauges read at
+// scrape time.
+type metricKind int
 
-	// startOnce pins the epoch for sieved_uptime_seconds: server.New calls
-	// started() at construction (the zero-value struct has no constructor of
-	// its own), so the gauge measures from server start, not first scrape.
-	startOnce sync.Once
-	start     time.Time
+const (
+	kindCounter metricKind = iota // only ever grows: # TYPE counter
+	kindGauge                     // an atomic level that rises and falls
+	kindScraped                   // a gauge read from its source at scrape time
+)
 
-	regOnce sync.Once
-	reg     *obs.Registry
+// metricRow is one row of the metrics table: the /debug/metrics key ("" for
+// a Prometheus-only row), the Prometheus series name, its kind, and where the
+// value comes from. Both views render every row in table order, so a counter
+// is named in exactly one place.
+type metricRow struct {
+	key   string
+	prom  string
+	kind  metricKind
+	value func() int64
 }
 
-// started returns the first-use timestamp backing the uptime gauge.
-func (m *metrics) started() time.Time {
-	m.startOnce.Do(func() { m.start = time.Now() })
-	return m.start
+// metrics is the server's one source of truth about itself: atomic counters
+// named once in an ordered table, one latency histogram per serving stage and
+// per status class, and the per-methodology request counts, all built by
+// newMetrics and never grown afterwards. /debug/metrics and /metrics both
+// render from it. Every terminal response path records latency — errors
+// included — into the overall request histogram and its status-class one, so
+// p99 under errors is visible rather than a blind spot.
+type metrics struct {
+	Requests     obs.Counter // API requests accepted (sample, characterize, plan get, batch)
+	Failures     obs.Counter // requests answered with a 4xx/5xx
+	CacheHits    obs.Counter // plans served from the content-hash cache
+	CacheMisses  obs.Counter // plan lookups that missed the cache
+	Computations obs.Counter // sampling runs actually executed (misses minus coalesced/proxied)
+	Coalesced    obs.Counter // requests that joined another request's in-flight computation
+	BatchItems   obs.Counter // items processed across all /v1/batch requests
+	PeerFills    obs.Counter // plans filled into the local cache from a peer replica
+	PeerProxied  obs.Counter // requests proxied to the owning peer replica
+	InFlight     obs.Counter // requests currently holding a worker slot
+	Rejected     obs.Counter // requests that gave up waiting for a slot
+	RowsIngested obs.Counter // profile rows ingested across all requests
+
+	// table lists every counter and integer gauge in /debug/metrics key
+	// order.
+	table []metricRow
+
+	// methodCounts[i] counts sample requests resolved to methodNames[i], the
+	// registered sampling methods (sorted).
+	methodNames  []string
+	methodCounts []obs.Counter
+
+	requestSeconds *obs.Histogram
+	classSeconds   [len(statusClasses)]*obs.Histogram
+	stageSeconds   [len(traceStages)]*obs.Histogram // indexed like traceStages
+
+	start time.Time // epoch of sieved_uptime_seconds: server construction
+}
+
+// newMetrics builds the metrics of a server whose plan cache reports its
+// size through cacheLen.
+func newMetrics(cacheLen func() int) *metrics {
+	m := &metrics{
+		methodNames:    sampler.Names(),
+		requestSeconds: obs.NewHistogram(),
+		start:          time.Now(),
+	}
+	m.methodCounts = make([]obs.Counter, len(m.methodNames))
+	for i := range m.classSeconds {
+		m.classSeconds[i] = obs.NewHistogram()
+	}
+	for i := range m.stageSeconds {
+		m.stageSeconds[i] = obs.NewHistogram()
+	}
+	m.table = []metricRow{
+		{"requests", "sieved_requests_total", kindCounter, m.Requests.Value},
+		{"failures", "sieved_failures_total", kindCounter, m.Failures.Value},
+		{"cache_hits", "sieved_cache_hits_total", kindCounter, m.CacheHits.Value},
+		{"cache_misses", "sieved_cache_misses_total", kindCounter, m.CacheMisses.Value},
+		{"cache_entries", "sieved_cache_entries", kindScraped, func() int64 { return int64(cacheLen()) }},
+		{"computations", "sieved_computations_total", kindCounter, m.Computations.Value},
+		{"coalesced", "sieved_coalesced_total", kindCounter, m.Coalesced.Value},
+		{"batch_items", "sieved_batch_items_total", kindCounter, m.BatchItems.Value},
+		{"peer_fills", "sieved_peer_fills_total", kindCounter, m.PeerFills.Value},
+		{"peer_proxied", "sieved_peer_proxied_total", kindCounter, m.PeerProxied.Value},
+		{"in_flight", "sieved_in_flight", kindGauge, m.InFlight.Value},
+		{"rejected", "sieved_rejected_total", kindCounter, m.Rejected.Value},
+		{"rows_ingested", "sieved_rows_ingested_total", kindCounter, m.RowsIngested.Value},
+		{"", "sieved_goroutines", kindScraped, func() int64 { return int64(runtime.NumGoroutine()) }},
+	}
+	return m
+}
+
+// MethodRequests returns the sample-request counter of a registered sampling
+// method, or nil (whose Add is a no-op) for a name registered after the
+// server was built.
+func (m *metrics) MethodRequests(method string) *obs.Counter {
+	if i, ok := slices.BinarySearch(m.methodNames, method); ok {
+		return &m.methodCounts[i]
+	}
+	return nil
 }
 
 // observeStage records one request's attributed time in a serving stage.
 func (m *metrics) observeStage(stage string, ns int64) {
-	m.stageMu.Lock()
-	if m.stageHists == nil {
-		m.stageHists = make(map[string]*obs.Histogram)
-	}
-	h, ok := m.stageHists[stage]
-	if !ok {
-		h = obs.NewHistogram()
-		m.stageHists[stage] = h
-	}
-	m.stageMu.Unlock()
-	h.Observe(float64(ns) / 1e9)
-}
-
-// stageSnapshot returns the per-stage histograms sorted by stage name.
-func (m *metrics) stageSnapshot() []stageHist {
-	m.stageMu.Lock()
-	out := make([]stageHist, 0, len(m.stageHists))
-	for name, h := range m.stageHists {
-		out = append(out, stageHist{name, h})
-	}
-	m.stageMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].stage < out[j].stage })
-	return out
-}
-
-type stageHist struct {
-	stage string
-	h     *obs.Histogram
-}
-
-// MethodRequests returns the per-methodology sample-request counter for the
-// canonical method name, creating it on first use.
-func (m *metrics) MethodRequests(method string) *expvar.Int {
-	m.methodMu.Lock()
-	defer m.methodMu.Unlock()
-	if m.methodCounts == nil {
-		m.methodCounts = make(map[string]*expvar.Int)
-	}
-	c, ok := m.methodCounts[method]
-	if !ok {
-		c = new(expvar.Int)
-		m.methodCounts[method] = c
-	}
-	return c
-}
-
-// methodSnapshot returns the per-method counters sorted by method name, so
-// both expositions render deterministically.
-func (m *metrics) methodSnapshot() []methodCount {
-	m.methodMu.Lock()
-	defer m.methodMu.Unlock()
-	out := make([]methodCount, 0, len(m.methodCounts))
-	for name, c := range m.methodCounts {
-		out = append(out, methodCount{name, c.Value()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].method < out[j].method })
-	return out
-}
-
-type methodCount struct {
-	method string
-	count  int64
-}
-
-// registry lazily creates the metric registry so the zero-value metrics
-// struct embedded in Server keeps working without a constructor.
-func (m *metrics) registry() *obs.Registry {
-	m.regOnce.Do(func() { m.reg = obs.NewRegistry() })
-	return m.reg
-}
-
-// statusClass buckets an HTTP status for the latency breakdown. 499
-// (client-abandoned) counts as 4xx: the client gave up, the server did not
-// fail.
-func statusClass(status int) string {
-	switch {
-	case status >= 500:
-		return "5xx"
-	case status >= 400:
-		return "4xx"
-	case status >= 300:
-		return "3xx"
-	default:
-		return "2xx"
+	if i, ok := slices.BinarySearch(traceStages[:], stage); ok {
+		m.stageSeconds[i].Observe(float64(ns) / 1e9)
 	}
 }
 
@@ -182,49 +156,36 @@ func statusClass(status int) string {
 // success, caller error, timeout, disconnect — through here, so error-path
 // latency shows up in the quantiles instead of only successes.
 func (m *metrics) observe(status int, d time.Duration) {
-	reg := m.registry()
-	reg.Histogram(requestSecondsMetric).ObserveDuration(d)
-	reg.Histogram(requestSecondsMetric + "_class_" + statusClass(status)).ObserveDuration(d)
+	m.requestSeconds.ObserveDuration(d)
+	m.classSeconds[statusClass(status)].ObserveDuration(d)
 }
 
-// observeLatency records one completed request's wall time without a status
-// breakdown (kept for callers that predate observe).
-func (m *metrics) observeLatency(d time.Duration) {
-	m.registry().Histogram(requestSecondsMetric).ObserveDuration(d)
-}
-
-// quantiles returns the p50 and p99 of the recorded latencies, in
-// milliseconds (0, 0 before the first request).
-func (m *metrics) quantiles() (p50, p99 float64) {
-	h := m.registry().Histogram(requestSecondsMetric)
-	return h.Quantile(0.50) * 1e3, h.Quantile(0.99) * 1e3
-}
-
-// handler serves the /debug/metrics snapshot. expvar.Int values render as
-// JSON numbers via String(), so the document is assembled directly. The JSON
-// shape (keys and nesting) is a compatibility contract pinned by
-// TestDebugMetricsJSONShape — monitoring dashboards parse it. The counters
-// satisfy cache_hits + cache_misses + failures == requests for the non-batch
+// serveJSON serves the /debug/metrics snapshot. The document is assembled by
+// hand so its key order stays fixed; the JSON shape (keys and nesting) is a
+// compatibility contract pinned by TestDebugMetricsJSONShape — monitoring
+// dashboards parse it. Methods appear once requested. The counters satisfy
+// cache_hits + cache_misses + failures == requests for the non-batch
 // endpoints (batch adds batch_items on top of its one request).
-func (m *metrics) handler(cacheLen func() int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		p50, p99 := m.quantiles()
-		var methods strings.Builder
-		for i, mc := range m.methodSnapshot() {
-			if i > 0 {
-				methods.WriteByte(',')
-			}
-			fmt.Fprintf(&methods, "%q:%d", mc.method, mc.count)
+func (m *metrics) serveJSON(w http.ResponseWriter, r *http.Request) {
+	var b strings.Builder
+	b.WriteByte('{')
+	for _, row := range m.table {
+		if row.key != "" {
+			fmt.Fprintf(&b, "%q:%d,", row.key, row.value())
 		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"requests":%s,"failures":%s,"cache_hits":%s,"cache_misses":%s,"cache_entries":%d,"computations":%s,"coalesced":%s,"batch_items":%s,"peer_fills":%s,"peer_proxied":%s,"in_flight":%s,"rejected":%s,"rows_ingested":%s,"method_requests":{%s},"latency_ms":{"p50":%g,"p99":%g}}`+"\n",
-			m.Requests.String(), m.Failures.String(),
-			m.CacheHits.String(), m.CacheMisses.String(), cacheLen(),
-			m.Computations.String(), m.Coalesced.String(), m.BatchItems.String(),
-			m.PeerFills.String(), m.PeerProxied.String(),
-			m.InFlight.String(), m.Rejected.String(), m.RowsIngested.String(),
-			methods.String(), p50, p99)
 	}
+	b.WriteString(`"method_requests":{`)
+	sep := ""
+	for i, name := range m.methodNames {
+		if n := m.methodCounts[i].Value(); n > 0 {
+			fmt.Fprintf(&b, "%s%q:%d", sep, name, n)
+			sep = ","
+		}
+	}
+	h := m.requestSeconds
+	fmt.Fprintf(&b, `},"latency_ms":{"p50":%g,"p99":%g}}`+"\n", h.Quantile(0.50)*1e3, h.Quantile(0.99)*1e3)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = io.WriteString(w, b.String())
 }
 
 // fmtLE renders an upper bound the way Prometheus spells le values.
@@ -247,82 +208,57 @@ func writeHistogram(w io.Writer, name, labels string, h *obs.Histogram) {
 	fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n", name, labels, h.Sum(), name, labels, h.Count())
 }
 
-// prometheus serves the counters and the latency histograms in Prometheus
-// text exposition format (0.0.4): counters and gauges are written directly
-// from the expvar values; the latency histograms (overall, per status class,
-// per serving stage) render with explicit buckets — real _bucket/_sum/_count
-// series, not summary quantiles — so scrapes aggregate across replicas.
-func (m *metrics) prometheus(cacheLen func() int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		counter := func(name string, v int64) {
-			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v)
+// servePrometheus serves the table and the latency histograms in Prometheus
+// text exposition format (0.0.4): the counters, the per-method family, the
+// gauges, then the latency histograms (overall, per status class, per
+// serving stage) with explicit buckets — real _bucket/_sum/_count series,
+// not summary quantiles — so scrapes aggregate across replicas. The overall
+// request histogram is always present; a status class, method or stage
+// appears once it has a count.
+func (m *metrics) servePrometheus(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	writeRows := func(kind metricKind) {
+		typ := "gauge"
+		if kind == kindCounter {
+			typ = "counter"
 		}
-		gauge := func(name string, v int64) {
-			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, v)
-		}
-		counter("sieved_requests_total", m.Requests.Value())
-		counter("sieved_failures_total", m.Failures.Value())
-		counter("sieved_cache_hits_total", m.CacheHits.Value())
-		counter("sieved_cache_misses_total", m.CacheMisses.Value())
-		counter("sieved_computations_total", m.Computations.Value())
-		counter("sieved_coalesced_total", m.Coalesced.Value())
-		counter("sieved_batch_items_total", m.BatchItems.Value())
-		counter("sieved_peer_fills_total", m.PeerFills.Value())
-		counter("sieved_peer_proxied_total", m.PeerProxied.Value())
-		counter("sieved_rejected_total", m.Rejected.Value())
-		counter("sieved_rows_ingested_total", m.RowsIngested.Value())
-		if snap := m.methodSnapshot(); len(snap) > 0 {
-			fmt.Fprintf(w, "# TYPE sieved_method_requests_total counter\n")
-			for _, mc := range snap {
-				fmt.Fprintf(w, "sieved_method_requests_total{method=%q} %d\n", mc.method, mc.count)
-			}
-		}
-		gauge("sieved_in_flight", m.InFlight.Value())
-		gauge("sieved_cache_entries", int64(cacheLen()))
-		gauge("sieved_goroutines", int64(runtime.NumGoroutine()))
-		fmt.Fprintf(w, "# TYPE sieved_uptime_seconds gauge\nsieved_uptime_seconds %g\n",
-			time.Since(m.started()).Seconds())
-		// Build/protocol identity: the same version /healthz reports, as a
-		// constant gauge with the value in a label (the node_exporter idiom).
-		fmt.Fprintf(w, "# TYPE sieved_build_info gauge\nsieved_build_info{version=%q} 1\n", api.Version)
-
-		// Request-latency histograms from the shared registry
-		// (sieved_request_seconds and its _class_* split), explicit buckets.
-		hists := m.registry().Histograms()
-		names := make([]string, 0, len(hists))
-		for name := range hists {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-			writeHistogram(w, name, "", hists[name])
-		}
-		// Per-stage attribution histograms, one labeled family.
-		if stages := m.stageSnapshot(); len(stages) > 0 {
-			fmt.Fprintf(w, "# TYPE %s histogram\n", stageSecondsMetric)
-			for _, st := range stages {
-				writeHistogram(w, stageSecondsMetric, fmt.Sprintf("stage=%q,", st.stage), st.h)
+		for _, row := range m.table {
+			if row.kind == kind {
+				fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", row.prom, typ, row.prom, row.value())
 			}
 		}
 	}
-}
+	writeRows(kindCounter)
+	header := "# TYPE sieved_method_requests_total counter\n"
+	for i, name := range m.methodNames {
+		if n := m.methodCounts[i].Value(); n > 0 {
+			io.WriteString(w, header)
+			header = ""
+			fmt.Fprintf(w, "sieved_method_requests_total{method=%q} %d\n", name, n)
+		}
+	}
+	writeRows(kindGauge)
+	writeRows(kindScraped)
+	fmt.Fprintf(w, "# TYPE sieved_uptime_seconds gauge\nsieved_uptime_seconds %g\n", time.Since(m.start).Seconds())
+	// Build/protocol identity: the same version /healthz reports, as a
+	// constant gauge with the value in a label (the node_exporter idiom).
+	fmt.Fprintf(w, "# TYPE sieved_build_info gauge\nsieved_build_info{version=%q} 1\n", api.Version)
 
-// Publish registers the counters on the global expvar namespace under
-// name.* so the standard /debug/vars endpoint exposes them too. Call at most
-// once per process (expvar panics on duplicate names).
-func (m *metrics) Publish(name string) {
-	expvar.Publish(name+".requests", &m.Requests)
-	expvar.Publish(name+".failures", &m.Failures)
-	expvar.Publish(name+".cache_hits", &m.CacheHits)
-	expvar.Publish(name+".cache_misses", &m.CacheMisses)
-	expvar.Publish(name+".computations", &m.Computations)
-	expvar.Publish(name+".coalesced", &m.Coalesced)
-	expvar.Publish(name+".batch_items", &m.BatchItems)
-	expvar.Publish(name+".peer_fills", &m.PeerFills)
-	expvar.Publish(name+".peer_proxied", &m.PeerProxied)
-	expvar.Publish(name+".in_flight", &m.InFlight)
-	expvar.Publish(name+".rejected", &m.Rejected)
-	expvar.Publish(name+".rows_ingested", &m.RowsIngested)
+	fmt.Fprintf(w, "# TYPE %s histogram\n", requestSecondsMetric)
+	writeHistogram(w, requestSecondsMetric, "", m.requestSeconds)
+	for i, h := range m.classSeconds {
+		if h.Count() > 0 {
+			name := requestSecondsMetric + "_class_" + statusClasses[i]
+			fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+			writeHistogram(w, name, "", h)
+		}
+	}
+	header = "# TYPE " + stageSecondsMetric + " histogram\n"
+	for i, h := range m.stageSeconds {
+		if h.Count() > 0 {
+			io.WriteString(w, header)
+			header = ""
+			writeHistogram(w, stageSecondsMetric, fmt.Sprintf("stage=%q,", traceStages[i]), h)
+		}
+	}
 }

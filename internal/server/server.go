@@ -10,7 +10,7 @@
 //	POST /v1/characterize  same input as /v1/sample → per-kernel workload characterization
 //	GET  /v1/plans/{id}    content-hash-addressed plan lookup
 //	GET  /healthz          liveness
-//	GET  /debug/metrics    expvar counters + latency quantiles (JSON)
+//	GET  /debug/metrics    counters + latency quantiles (JSON)
 //	GET  /metrics          the same metrics in Prometheus text exposition format
 //
 // Every sampling run is bounded three ways: a worker-slot semaphore caps
@@ -112,7 +112,7 @@ type Server struct {
 	cfg     Config
 	slots   chan struct{}
 	cache   *planCache
-	metrics metrics
+	metrics *metrics
 	mux     *http.ServeMux
 	flights flightGroup
 	traces  *traceStore
@@ -135,15 +135,15 @@ func New(cfg Config) *Server {
 		traces: newTraceStore(cfg.TraceEntries),
 		peer:   &http.Client{},
 	}
+	s.metrics = newMetrics(s.cache.len)
 	s.flights.onJoin = func() { s.metrics.Coalesced.Add(1) }
-	s.metrics.started() // pin uptime's epoch to construction, not first scrape
 	s.mux.HandleFunc("POST /v1/sample", s.traced(s.serveSample))
 	s.mux.HandleFunc("POST /v1/batch", s.traced(s.serveBatch))
 	s.mux.HandleFunc("POST /v1/characterize", s.traced(s.serveCharacterize))
 	s.mux.HandleFunc("GET /v1/plans/{id}", s.traced(s.servePlanGet))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /debug/metrics", s.metrics.handler(s.cache.len))
-	s.mux.HandleFunc("GET /metrics", s.metrics.prometheus(s.cache.len))
+	s.mux.HandleFunc("GET /debug/metrics", s.metrics.serveJSON)
+	s.mux.HandleFunc("GET /metrics", s.metrics.servePrometheus)
 	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceGet)
 	return s
@@ -236,9 +236,6 @@ func (s *Server) Handler() http.Handler {
 			"duration_ms", float64(time.Since(start))/float64(time.Millisecond))
 	})
 }
-
-// Metrics exposes the counters, e.g. for global expvar publication.
-func (s *Server) Metrics() *metrics { return &s.metrics }
 
 // The wire types live in the exported api package — the supported
 // integration surface for out-of-process clients — and the server consumes
@@ -514,55 +511,20 @@ func (s *Server) acquireSlot(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// rows materializes the request's profile rows. CSV-sourced failures are the
-// caller's data (400); workload generation happens server-side, so only an
-// unknown name (caught in resolve) is the caller's fault.
-func (rv *resolved) rows(ctx context.Context) ([]sieve.InvocationProfile, error) {
+// profile materializes the request's profile. Caller CSV is parsed, and its
+// failures are the caller's data (400). A catalog workload is generated and
+// profiled server-side, so only an unknown name (caught in resolve) is the
+// caller's fault. features adds what pks needs beyond the instruction-count
+// rows: the Nsight-style 12-characteristic feature vectors and the golden
+// per-invocation cycle reference (resolve already rejected pks with CSV
+// sources).
+func (rv *resolved) profile(ctx context.Context, features bool) (*sieve.MethodProfile, error) {
 	if rv.req.ProfileCSV != "" {
 		p, err := sieve.ReadProfileCSV(strings.NewReader(rv.req.ProfileCSV))
 		if err != nil {
 			return nil, badRequest{err}
 		}
-		return sieve.ProfileRows(p), nil
-	}
-	return rv.workloadRows(ctx)
-}
-
-func (rv *resolved) workloadRows(ctx context.Context) ([]sieve.InvocationProfile, error) {
-	w, err := sieve.GenerateWorkload(rv.req.Workload, rv.req.Scale)
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	archCfg, err := sieve.ResolveArch(rv.arch)
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	hw, err := sieve.NewHardware(archCfg)
-	if err != nil {
-		return nil, err
-	}
-	p, err := sieve.ProfileInstructionCounts(w, hw)
-	if err != nil {
-		return nil, err
-	}
-	return sieve.ProfileRows(p), nil
-}
-
-// methodProfile materializes the sampler inputs for a non-default
-// methodology. Most methods need only the instruction-count rows; pks
-// additionally needs the Nsight-style 12-characteristic feature vectors and
-// the golden per-invocation cycle reference, both profiled server-side from
-// the generated workload (resolve already rejected pks with CSV sources).
-func (rv *resolved) methodProfile(ctx context.Context) (*sieve.MethodProfile, error) {
-	if rv.method != sampler.MethodPKS {
-		rows, err := rv.rows(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &sieve.MethodProfile{Rows: rows}, nil
+		return &sieve.MethodProfile{Rows: sieve.ProfileRows(p)}, nil
 	}
 	w, err := sieve.GenerateWorkload(rv.req.Workload, rv.req.Scale)
 	if err != nil {
@@ -583,6 +545,10 @@ func (rv *resolved) methodProfile(ctx context.Context) (*sieve.MethodProfile, er
 	if err != nil {
 		return nil, err
 	}
+	mp := &sieve.MethodProfile{Rows: sieve.ProfileRows(counts)}
+	if !features {
+		return mp, nil
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -590,62 +556,52 @@ func (rv *resolved) methodProfile(ctx context.Context) (*sieve.MethodProfile, er
 	if err != nil {
 		return nil, err
 	}
-	return &sieve.MethodProfile{
-		Rows:         sieve.ProfileRows(counts),
-		Features:     sieve.FeatureRows(full),
-		GoldenCycles: hw.MeasureWorkload(w),
-	}, nil
+	mp.Features = sieve.FeatureRows(full)
+	mp.GoldenCycles = hw.MeasureWorkload(w)
+	return mp, nil
 }
 
-// methodPlan runs a non-default methodology through the sampler registry.
-// The request seed doubles as the methodology seed, so clients reproduce
-// stochastic plans (twophase pilots, rss draws) the same way they salt the
-// cache: via options.seed.
-func (rv *resolved) methodPlan(ctx context.Context) (*sieve.Plan, error) {
-	p, err := rv.methodProfile(ctx)
-	if err != nil {
-		return nil, err
-	}
-	sopts := sieve.MethodOptions{Core: rv.opts, Seed: int64(rv.stream.Seed)}
-	if rv.method == sampler.MethodPKS {
-		sopts.PKS = pks.Options{Seed: int64(rv.stream.Seed), Parallelism: rv.opts.Parallelism}
-	}
-	plan, err := sieve.SampleMethodContext(ctx, rv.method, p, sopts)
+// blameCSV turns an internal failure on caller-supplied CSV into a caller
+// data error (400): anything a well-formed CSV cannot produce — non-positive
+// counts, duplicate indices — is the caller's CSV.
+func (rv *resolved) blameCSV(err error) error {
 	if err != nil && rv.req.ProfileCSV != "" && statusFor(err) == http.StatusInternalServerError {
-		// Row-validation failures on caller-supplied CSV are caller data
-		// errors, exactly as on the default path below.
-		err = badRequest{err}
+		return badRequest{err}
 	}
-	return plan, err
+	return err
 }
 
 // samplePlan runs the sampling pipeline for the resolved request.
 func (rv *resolved) samplePlan(ctx context.Context) (*sieve.Plan, error) {
-	if rv.method != core.MethodSieve {
-		return rv.methodPlan(ctx)
-	}
+	plan, err := rv.runSampler(ctx)
+	return plan, rv.blameCSV(err)
+}
+
+// runSampler builds the plan: non-default methodologies through the sampler
+// registry, the default one streamed from CSV, streamed from rows, or
+// materialized. The request seed doubles as the methodology seed, so clients
+// reproduce stochastic plans (twophase pilots, rss draws) the same way they
+// salt the cache: via options.seed.
+func (rv *resolved) runSampler(ctx context.Context) (*sieve.Plan, error) {
 	if rv.req.Options.Stream && rv.req.ProfileCSV != "" {
-		plan, err := sieve.SampleCSVContext(ctx, strings.NewReader(rv.req.ProfileCSV), rv.stream)
-		if err != nil && statusFor(err) == http.StatusInternalServerError {
-			// Anything a well-formed CSV cannot produce is the caller's CSV.
-			err = badRequest{err}
-		}
-		return plan, err
+		return sieve.SampleCSVContext(ctx, strings.NewReader(rv.req.ProfileCSV), rv.stream)
 	}
-	rows, err := rv.rows(ctx)
+	p, err := rv.profile(ctx, rv.method == sampler.MethodPKS)
 	if err != nil {
 		return nil, err
 	}
-	if rv.req.Options.Stream {
-		return sieve.SampleStreamContext(ctx, sieve.SliceSource(rows), rv.stream)
+	switch {
+	case rv.method != core.MethodSieve:
+		sopts := sieve.MethodOptions{Core: rv.opts, Seed: int64(rv.stream.Seed)}
+		if rv.method == sampler.MethodPKS {
+			sopts.PKS = pks.Options{Seed: int64(rv.stream.Seed), Parallelism: rv.opts.Parallelism}
+		}
+		return sieve.SampleMethodContext(ctx, rv.method, p, sopts)
+	case rv.req.Options.Stream:
+		return sieve.SampleStreamContext(ctx, sieve.SliceSource(p.Rows), rv.stream)
+	default:
+		return sieve.SampleContext(ctx, p.Rows, rv.opts)
 	}
-	plan, err := sieve.SampleContext(ctx, rows, rv.opts)
-	if err != nil && rv.req.ProfileCSV != "" && statusFor(err) == http.StatusInternalServerError {
-		// Row-validation failures (non-positive counts, duplicate indices)
-		// on caller-supplied CSV are caller data errors.
-		err = badRequest{err}
-	}
-	return plan, err
 }
 
 func marshalPlan(p *sieve.Plan) ([]byte, error) {
@@ -871,20 +827,17 @@ func (s *Server) serveCharacterize(w http.ResponseWriter, r *http.Request) int {
 	}
 	defer release()
 	compCtx, compSpan := obs.StartSpan(ctx, stageCompute)
-	rows, err := rv.rows(compCtx)
+	p, err := rv.profile(compCtx, false)
 	if err != nil {
 		compSpan.End()
 		return s.writeError(w, err)
 	}
-	sums, err := sieve.CharacterizeContext(compCtx, rows, rv.opts.Theta)
+	sums, err := sieve.CharacterizeContext(compCtx, p.Rows, rv.opts.Theta)
 	compSpan.End()
 	if err != nil {
-		if rv.req.ProfileCSV != "" && statusFor(err) == http.StatusInternalServerError {
-			err = badRequest{err}
-		}
-		return s.writeError(w, err)
+		return s.writeError(w, rv.blameCSV(err))
 	}
-	s.metrics.RowsIngested.Add(int64(len(rows)))
+	s.metrics.RowsIngested.Add(int64(len(p.Rows)))
 	out := make([]api.KernelSummary, len(sums))
 	for i, k := range sums {
 		out[i] = api.KernelSummary{

@@ -13,6 +13,7 @@ package server
 import (
 	"context"
 	"net/http"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -38,16 +39,15 @@ const (
 	stageWrite   = "write"   // response serialization
 )
 
-// traceStages is the closed set of stage names (attribution ignores other
-// span names, e.g. the sampler.plan subtree nested under compute).
-var traceStages = map[string]bool{
-	stageDecode:  true,
-	stageCache:   true,
-	stageSlot:    true,
-	stageFlight:  true,
-	stageCompute: true,
-	stageProxy:   true,
-	stageWrite:   true,
+// traceStages is the closed set of stage names, sorted (attribution ignores
+// other span names, e.g. the sampler.plan subtree nested under compute). The
+// per-stage histograms are indexed by it.
+var traceStages = [...]string{stageCache, stageCompute, stageDecode, stageFlight, stageProxy, stageSlot, stageWrite}
+
+// isStage reports whether a span name is one of traceStages.
+func isStage(name string) bool {
+	_, ok := slices.BinarySearch(traceStages[:], name)
+	return ok
 }
 
 // requestTrace is one in-progress request's trace handle, carried on the
@@ -166,10 +166,10 @@ func stageSums(spans []*obs.SpanReport) map[string]int64 {
 	sums := make(map[string]int64)
 	var walk func(sp *obs.SpanReport)
 	walk = func(sp *obs.SpanReport) {
-		if traceStages[sp.Name] {
+		if isStage(sp.Name) {
 			own := sp.DurationNS
 			for _, c := range sp.Children {
-				if traceStages[c.Name] {
+				if isStage(c.Name) {
 					own -= c.DurationNS
 				}
 			}
